@@ -97,7 +97,7 @@ Options::Options(int argc, const char* const* argv) {
     policy = cli.get_string("policy", default_policy());
     if (!parse_policy(policy).has_value()) {
         std::cerr << "unknown --policy '" << policy
-                  << "' (expected lru|lru-k|clock|2q|lfu)\n";
+                  << "' (expected lru|lru-k|clock|lfu)\n";
         std::exit(2);
     }
     prefetch = cli.get_bool("prefetch", default_prefetch());

@@ -34,7 +34,7 @@
 //   --node-pool-pages <n>  buffer-pool frames per simulated node in the
 //                       disk-backed mode (default 1024)
 //   --policy <p>        node-pool replacement policy: lru (default), lru-k,
-//                       clock, or 2q (PGF_POLICY in the environment sets
+//                       clock, or lfu (PGF_POLICY in the environment sets
 //                       the default). Non-default policies apply to the
 //                       serving-side node pools only; stdout is
 //                       byte-identical when unset.

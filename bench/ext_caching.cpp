@@ -2,7 +2,7 @@
 // policies and declustering-aware prefetch.
 //
 // The pluggable-policy pool (pgf/storage/replacement.hpp) claims LRU-K
-// and 2Q resist exactly the access patterns that hurt plain LRU on the
+// and LFU resist exactly the access patterns that hurt plain LRU on the
 // paper's workloads: skewed traffic (most queries revisit the hot-spot
 // clusters' buckets) and repeated ranges interleaved with large polluting
 // scans. This bench measures that directly: a single-node QueryEngine
@@ -16,7 +16,7 @@
 //              large polluting scan (the scan-resistance stressor: one
 //              scan floods a small pool and evicts the hot set under LRU),
 //
-// sweeping policy {lru, lru-k, clock, 2q, lfu} x prefetch {off, on} x
+// sweeping policy {lru, lru-k, clock, lfu} x prefetch {off, on} x
 // pool-pages {16, 64, 256}. Every configuration starts cold (fresh
 // engine) and serves the whole workload once; the reported hit rate is
 // the demand hit fraction over the full pass and io/q is physical page
@@ -204,8 +204,7 @@ int run(int argc, char** argv) {
     const std::vector<std::size_t> pool_sweep{16, 64, 256};
     const std::vector<ReplacementPolicy> policies{
         ReplacementPolicy::kLru, ReplacementPolicy::kLruK,
-        ReplacementPolicy::kClock, ReplacementPolicy::kTwoQ,
-        ReplacementPolicy::kLfu};
+        ReplacementPolicy::kClock, ReplacementPolicy::kLfu};
 
     std::vector<CellResult> results;
     bool consistent = true;

@@ -19,8 +19,8 @@
 #      dead or undocumented.
 #
 #   3. The named shared-state classes (ThreadPool, BuildCache, BufferPool,
-#      SweepRunner) keep their specific invariant annotations — the
-#      acceptance bar of the thread-safety refactor. This catches an edit
+#      SweepRunner, QueryEngine) keep their specific invariant annotations
+#      — the acceptance bar of the thread-safety refactor. This catches an edit
 #      that quietly drops an annotation on a gcc-only box where the macros
 #      compile to nothing.
 #
@@ -82,8 +82,8 @@ require "${bp}" 'grab_frame\(\) PGF_REQUIRES\(latch_\)' 'BufferPool::grab_frame 
 
 # Replacement policies run entirely under the pool's latch, expressed as a
 # capability-by-parameter: every Replacer hook (4 base virtuals + the 4
-# overrides in each of the 4 policies = 20 declarations) must demand the
-# caller-held latch via PGF_REQUIRES(latch).
+# overrides in each of the 4 policies LRU, LRU-K, CLOCK and LFU = 20
+# declarations) must demand the caller-held latch via PGF_REQUIRES(latch).
 rp='src/include/pgf/storage/replacement.hpp'
 require "${rp}" 'Mutex& latch\b'                       'Replacer hooks take the pool latch by parameter'
 requires_count=$(grep -cE 'PGF_REQUIRES\(latch\)' "${rp}" || true)
@@ -124,6 +124,8 @@ require "${qe}" 'PGF_GUARDED_BY\(stats_mutex_\)'       'QueryEngine batch state 
 require "${qe}" 'submitted_ PGF_GUARDED_BY\(stats_mutex_\)' 'QueryEngine::submitted_ guarded'
 require "${qe}" 'completed_ PGF_GUARDED_BY\(stats_mutex_\)' 'QueryEngine::completed_ guarded'
 require "${qe}" 'latencies_ms_ PGF_GUARDED_BY\(stats_mutex_\)' 'QueryEngine::latencies_ms_ guarded'
+require "${qe}" 'scratch_ PGF_GUARDED_BY\(routing_mutex_\)' 'QueryEngine::scratch_ guarded by routing_mutex_'
+require "${qe}" 'buckets_ PGF_GUARDED_BY\(routing_mutex_\)' 'QueryEngine::buckets_ guarded by routing_mutex_'
 
 if [ "${fail}" -ne 0 ]; then
     echo "check_locks.sh: FAILED — see findings above." >&2

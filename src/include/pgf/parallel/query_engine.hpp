@@ -4,10 +4,9 @@
 // SP-2 cluster through a discrete-event clock, QueryEngine serves queries
 // with actual threads against the actual paged file:
 //
-//   front end --submit()--> [bounded MPMC admission queue]
-//                               |
-//                          dispatcher (the paper's coordinator, node 0):
-//                          directory lookup + per-node block lists
+//   front end --submit()--> closed-loop window wait, then on the calling
+//                           thread (the paper's coordinator, node 0):
+//                           directory lookup + per-node block lists
 //                               |
 //              [per-node task queues] x N
 //                 |                |
@@ -26,9 +25,11 @@
 // server's (both asserted by tests/parallel/test_query_engine.cpp).
 //
 // Concurrency invariants:
-//   - the grid file is read-only while the engine lives: the dispatcher
-//     walks scales/directory (immutable after build) and workers read
-//     pages through their node's own pool, never the file's builder pool;
+//   - the grid file is read-only while the engine lives: submit() walks
+//     scales/directory (immutable after build) and workers read pages
+//     through their node's own pool, never the file's builder pool;
+//   - submit() may be called from several threads: the routing scratch
+//     (bucket stamps and bucket list) is shared behind routing_mutex_;
 //   - construction requires gf.flush() first so node pools see current
 //     page images (checked shape as DiskBackedConfig);
 //   - each worker pins at most one page at a time, so a node pool with
@@ -37,14 +38,15 @@
 //   - QueryState hand-off is synchronized by the queues' mutexes and the
 //     per-query outstanding counter (acq_rel), so slot writes happen-
 //     before the completing team reads them, which happens-before the
-//     front end observes completion under stats_mutex_.
+//     front end observes completion under stats_mutex_;
+//   - submit() never reads a QueryState after its last push: the pushed
+//     team may complete the query at once and the next run() free it.
 //
 // Lock discipline is machine-checked (pgf/util/annotations.hpp): every
 // guarded member is annotated, and scripts/check_locks.sh asserts the
 // queue and stat annotations stay present.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -80,9 +82,9 @@ struct ServingConfig {
     std::size_t concurrency = 16;
     /// Replacement policy of every node pool (default: historical LRU).
     BufferPoolConfig pool_config{};
-    /// Declustering-aware read-ahead: the dispatcher stages each node's
-    /// bucket pages (in assignment order) into that node's pool before
-    /// pushing the node task, so the team scans warm frames.
+    /// Declustering-aware read-ahead: submit() stages each node's bucket
+    /// pages (in assignment order) into that node's pool before pushing
+    /// the node task, so the team scans warm frames.
     bool prefetch = false;
 };
 
@@ -141,8 +143,7 @@ public:
                 ServingConfig config)
         : gf_(gf),
           assignment_(std::move(assignment)),
-          config_(config),
-          admission_(std::max<std::size_t>(config.concurrency, 1)) {
+          config_(config) {
         PGF_CHECK(config_.nodes >= 1, "serving needs at least one node");
         PGF_CHECK(config_.disks_per_node >= 1,
                   "each node needs at least one disk");
@@ -158,6 +159,10 @@ public:
                   "assignment must target exactly the cluster's disks");
         PGF_CHECK(assignment_.disk_of.size() == gf_.bucket_count(),
                   "assignment must cover every bucket");
+        // Checked up front so routing inside submit() cannot throw.
+        for (std::uint32_t d : assignment_.disk_of) {
+            PGF_CHECK(d < total_disks, "assignment disk outside the cluster");
+        }
 
         backing_.reserve(config_.nodes);
         node_queues_.reserve(config_.nodes);
@@ -165,13 +170,12 @@ public:
             backing_.push_back(std::make_unique<NodeBacking>(
                 gf_.path(), config_.pool_pages, config_.pool_config));
             // A query occupies at most one slot per node queue, so the
-            // admission window bounds every queue's depth: the dispatcher
-            // can never deadlock pushing node tasks.
+            // admission window bounds every queue's depth: submit() never
+            // blocks pushing node tasks.
             node_queues_.push_back(
                 std::make_unique<BoundedMpmcQueue<QueryState*>>(
-                    std::max<std::size_t>(config_.concurrency, 1)));
+                    config_.concurrency));
         }
-        dispatcher_ = std::thread([this] { dispatch_loop(); });
         workers_.reserve(static_cast<std::size_t>(config_.nodes) *
                          config_.workers_per_node);
         for (std::uint32_t n = 0; n < config_.nodes; ++n) {
@@ -187,17 +191,17 @@ public:
     /// Close-then-drain shutdown: in-flight queries complete, then the
     /// teams exit. Results not yet collected are discarded with the engine.
     ~QueryEngine() {
-        admission_.close();
-        if (dispatcher_.joinable()) dispatcher_.join();
         for (auto& q : node_queues_) q->close();
         for (auto& w : workers_) w.join();
     }
 
     const ServingConfig& config() const { return config_; }
 
-    /// Admits one query; blocks while the closed-loop window is full.
+    /// Admits one query (a Rect<D> or PartialMatch<D> converts); blocks
+    /// while the closed-loop window is full, then routes it to the node
+    /// teams on the calling thread. Safe to call from several threads.
     /// Returns the query's ticket (index into the current batch).
-    std::size_t submit(Query q) PGF_EXCLUDES(stats_mutex_) {
+    std::size_t submit(Query q) PGF_EXCLUDES(stats_mutex_, routing_mutex_) {
         auto state = std::make_unique<QueryState>();
         QueryState* qs = state.get();
         qs->query = std::move(q);
@@ -213,15 +217,8 @@ public:
             latencies_ms_.push_back(0.0);
         }
         qs->admit = Clock::now();
-        PGF_CHECK(admission_.push(qs), "submit on a shut-down engine");
+        route(qs);
         return ticket;
-    }
-
-    std::size_t submit(const Rect<D>& q) PGF_EXCLUDES(stats_mutex_) {
-        return submit(Query(q));
-    }
-    std::size_t submit(const PartialMatch<D>& q) PGF_EXCLUDES(stats_mutex_) {
-        return submit(Query(q));
     }
 
     /// Blocks until every submitted query has completed.
@@ -259,7 +256,7 @@ public:
     /// gathers results, latencies and the aggregate report. Resets the
     /// batch state first; node pools stay warm across run() calls.
     BatchOutput run(const std::vector<Query>& queries)
-        PGF_EXCLUDES(stats_mutex_) {
+        PGF_EXCLUDES(stats_mutex_, routing_mutex_) {
         reset_batch();
         BatchOutput out;
         const auto start = Clock::now();
@@ -304,8 +301,8 @@ public:
 private:
     using Clock = std::chrono::steady_clock;
 
-    /// Per-query in-flight state. Written by the dispatcher (block lists),
-    /// then by node teams (each exclusively its own slot); the outstanding
+    /// Per-query in-flight state. Written by submit() (block lists), then
+    /// by node teams (each exclusively its own slot); the outstanding
     /// counter's acq_rel ordering publishes the slots to the completing
     /// team and, through stats_mutex_, to the front end.
     struct QueryState {
@@ -318,52 +315,50 @@ private:
         std::atomic<std::uint32_t> outstanding{0};
     };
 
-    /// Coordinator role (the paper's node 0): pops admitted queries,
-    /// translates them against the in-memory scales/directory, partitions
-    /// the block list per node and fans tasks out to the team queues.
-    void dispatch_loop() {
-        QueryScratch scratch;
-        std::vector<std::uint32_t> buckets;
-        std::vector<std::uint64_t> pages;  // prefetch staging list
-        QueryState* qs = nullptr;
-        while (admission_.pop(qs)) {
+    /// Coordinator role (the paper's node 0), run by the submitting
+    /// thread: translates the query against the in-memory scales/directory,
+    /// partitions the block list per node and fans tasks out to the team
+    /// queues. A query with no target node completes here.
+    void route(QueryState* qs) PGF_EXCLUDES(stats_mutex_, routing_mutex_) {
+        {
+            MutexLock lock(routing_mutex_);
             std::visit(
                 [&](const auto& q) {
-                    gf_.query_buckets(q, scratch, buckets);
+                    gf_.query_buckets(q, scratch_, buckets_);
                 },
                 qs->query);
-            qs->blocks = buckets.size();
+            qs->blocks = buckets_.size();
             qs->node_blocks = partition_node_blocks(
-                buckets, assignment_, config_.nodes, config_.disks_per_node);
-            qs->node_results.resize(config_.nodes);
-            std::uint32_t fanout = 0;
-            for (const auto& blocks : qs->node_blocks) {
-                fanout += blocks.empty() ? 0u : 1u;
-            }
-            if (fanout == 0) {
-                complete(qs);  // query missed the domain entirely
-                continue;
-            }
-            // The counter must cover the full fanout before the first
-            // push — a team could finish its slot instantly.
-            qs->outstanding.store(fanout, std::memory_order_relaxed);
-            for (std::uint32_t n = 0; n < config_.nodes; ++n) {
-                if (qs->node_blocks[n].empty()) continue;
-                if (config_.prefetch) {
-                    // The declustering already tells us exactly which
-                    // bucket pages node n is about to scan — stage them
-                    // in assignment order before the team gets the task.
-                    // (Safe vs drop_caches: backing_ is only swapped
-                    // while no query is in flight.)
-                    pages.clear();
-                    for (std::uint32_t b : qs->node_blocks[n]) {
-                        pages.push_back(gf_.bucket_page(b));
-                    }
-                    backing_[n]->pool.prefetch(pages);
+                buckets_, assignment_, config_.nodes, config_.disks_per_node);
+        }
+        qs->node_results.resize(config_.nodes);
+        std::vector<std::uint32_t> targets;
+        for (std::uint32_t n = 0; n < config_.nodes; ++n) {
+            if (!qs->node_blocks[n].empty()) targets.push_back(n);
+        }
+        if (targets.empty()) {
+            complete(qs);  // query missed the domain entirely
+            return;
+        }
+        // The counter must cover the full fanout before the first push —
+        // a team could finish its slot instantly.
+        qs->outstanding.store(static_cast<std::uint32_t>(targets.size()),
+                              std::memory_order_relaxed);
+        std::vector<std::uint64_t> pages;  // prefetch staging list
+        for (std::uint32_t n : targets) {
+            if (config_.prefetch) {
+                // Stage the pages node n is about to scan (safe vs
+                // drop_caches: it swaps backing_ only with none in flight).
+                pages.clear();
+                for (std::uint32_t b : qs->node_blocks[n]) {
+                    pages.push_back(gf_.bucket_page(b));
                 }
-                PGF_CHECK(node_queues_[n]->push(qs),
-                          "node queue closed while dispatching");
+                backing_[n]->pool.prefetch(pages);
             }
+            // Once the last push lands, the query may complete and be
+            // freed at any moment, so the loop walks the local `targets`.
+            PGF_CHECK(node_queues_[n]->push(qs),
+                      "submit on a shut-down engine");
         }
     }
 
@@ -446,11 +441,15 @@ private:
     const Assignment assignment_;
     const ServingConfig config_;
 
-    BoundedMpmcQueue<QueryState*> admission_;
     std::vector<std::unique_ptr<BoundedMpmcQueue<QueryState*>>> node_queues_;
     std::vector<std::unique_ptr<NodeBacking>> backing_;
-    std::thread dispatcher_;
     std::vector<std::thread> workers_;
+
+    // Routing scratch shared by concurrent submit() calls: one bucket-stamp
+    // array sized to the file, not re-zeroed per query.
+    Mutex routing_mutex_;
+    QueryScratch scratch_ PGF_GUARDED_BY(routing_mutex_);
+    std::vector<std::uint32_t> buckets_ PGF_GUARDED_BY(routing_mutex_);
 
     mutable Mutex stats_mutex_;
     std::condition_variable completion_cv_;

@@ -1,5 +1,5 @@
 // Latched, thread-safe buffer pool over a PageFile with a pluggable
-// replacement policy (LRU / LRU-K / CLOCK / 2Q, see
+// replacement policy (LRU / LRU-K / CLOCK / LFU, see
 // pgf/storage/replacement.hpp) and declustering-aware prefetch.
 //
 // Pages are pinned through RAII PageRef handles; unpinned pages stay
@@ -32,8 +32,8 @@
 //
 // Prefetch: prefetch(pages) reads not-yet-resident pages into unpinned
 // frames ahead of demand — the declustering assignment tells the serving
-// layer exactly which bucket pages a node is about to scan, so the
-// dispatcher can stage them before the workers arrive. Prefetched pages
+// layer exactly which bucket pages a node is about to scan, so
+// QueryEngine::submit() can stage them before the workers arrive. Prefetched pages
 // are speculative until first pinned: they form a *first-eviction class*
 // (evicted FIFO before the policy is even consulted), and a prefetch
 // never evicts another prefetched-but-unused frame — one misjudged

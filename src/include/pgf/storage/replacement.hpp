@@ -1,7 +1,7 @@
 // Pluggable replacement policies for the BufferPool.
 //
 // The pool owns the frames, the page table, the pin counts and the latch;
-// a Replacer owns only the *recency metadata* and the victim choice. Five
+// a Replacer owns only the *recency metadata* and the victim choice. Four
 // policies (the classic caching-literature set) ship behind one interface:
 //
 //   - LRU    — least-recently-used, kept as an intrusive doubly-linked
@@ -21,11 +21,6 @@
 //              O(log frames) per access/eviction.
 //   - CLOCK  — second-chance ring: a reference bit per frame, a sweeping
 //              hand that clears set bits and evicts the first clear one.
-//   - 2Q     — Johnson & Shasha's two queues: first-touch pages enter a
-//              small FIFO (A1in); only pages re-fetched after leaving it
-//              (remembered in the A1out ghost list of page ids) are
-//              promoted to the protected LRU main queue (Am). A sequential
-//              scan drains through A1in without ever displacing Am.
 //   - LFU    — least-frequently-used: a per-frame reference count (reset
 //              on eviction — "in-cache LFU"), LRU among ties so stale
 //              once-hot pages still age out of a small pool. Victims come
@@ -52,13 +47,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -66,19 +59,20 @@
 
 namespace pgf {
 
+// The values are stable: parameterized test names print them, so a
+// deleted policy leaves a gap rather than renumbering the ones after it.
 enum class ReplacementPolicy : std::uint8_t {
-    kLru,
-    kLruK,
-    kClock,
-    kTwoQ,
-    kLfu,
+    kLru = 0,
+    kLruK = 1,
+    kClock = 2,
+    kLfu = 4,
 };
 
-/// Short stable tag ("lru", "lru-k", "clock", "2q", "lfu") — used by
+/// Short stable tag ("lru", "lru-k", "clock", "lfu") — used by
 /// bench CLI flags, JSON artifacts and test names.
 std::string to_string(ReplacementPolicy policy);
 
-/// Inverse of to_string (also accepts "lruk"/"lru2" and "twoq" aliases);
+/// Inverse of to_string (also accepts the "lruk"/"lru2" aliases);
 /// nullopt on unknown text.
 std::optional<ReplacementPolicy> parse_policy(std::string_view text);
 
@@ -240,40 +234,6 @@ public:
 private:
     std::vector<bool> referenced_;
     std::size_t hand_ = 0;
-};
-
-/// 2Q (full version): resident frames live in A1in (FIFO, first touch) or
-/// Am (LRU, proven reuse); the A1out ghost list remembers page ids
-/// recently evicted from A1in. A fetch of a ghost page re-enters at Am —
-/// reuse across a window wider than A1in is the promotion signal. Victim:
-/// A1in front while A1in exceeds its target share of the pool (capacity/4,
-/// the paper's tuning), else Am's LRU frame. (Victim selection stays a
-/// linear scan here — 2Q is not on the large-pool build path; see the
-/// LRU/LRU-K/LFU indices for the O(log) treatment.)
-class TwoQReplacer final : public Replacer {
-public:
-    explicit TwoQReplacer(std::size_t capacity);
-
-    void on_insert(std::size_t frame, std::uint64_t page, Mutex& latch)
-        PGF_REQUIRES(latch) override;
-    void on_access(std::size_t frame, Mutex& latch)
-        PGF_REQUIRES(latch) override;
-    std::size_t victim(const EvictableView& view, Mutex& latch)
-        PGF_REQUIRES(latch) override;
-    void on_evict(std::size_t frame, std::uint64_t page, Mutex& latch)
-        PGF_REQUIRES(latch) override;
-
-private:
-    enum class Queue : std::uint8_t { kNone, kA1, kAm };
-
-    const std::size_t a1_target_;    ///< max A1in frames before FIFO evict
-    const std::size_t ghost_limit_;  ///< max remembered evicted page ids
-    std::vector<Queue> queue_;       ///< per-frame membership
-    std::vector<std::uint64_t> stamp_;  ///< A1: insert stamp; Am: access
-    std::size_t resident_a1_ = 0;       ///< live A1in frame count
-    std::uint64_t clock_ = 0;
-    std::deque<std::uint64_t> ghost_fifo_;       ///< A1out, oldest first
-    std::unordered_set<std::uint64_t> ghost_;    ///< A1out membership
 };
 
 /// LFU with LRU tie-break: per frame, a reference count bumped on insert

@@ -1,10 +1,8 @@
-// Bounded multi-producer / multi-consumer queue — the admission and
-// dispatch fabric of the concurrent serving path (pgf/parallel/
-// query_engine.hpp).
+// Bounded multi-producer / multi-consumer queue — the per-node task
+// queues of the concurrent serving path (pgf/parallel/query_engine.hpp).
 //
 // Semantics:
-//   - push() blocks while the queue is full; the bound is what turns the
-//     serving front end into a closed loop (backpressure instead of an
+//   - push() blocks while the queue is full (backpressure instead of an
 //     unbounded backlog).
 //   - pop() blocks while the queue is empty and returns false only when
 //     the queue has been close()d AND drained, so shutdown never drops

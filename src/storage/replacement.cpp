@@ -1,6 +1,5 @@
 #include "pgf/storage/replacement.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "pgf/util/check.hpp"
@@ -12,7 +11,6 @@ std::string to_string(ReplacementPolicy policy) {
         case ReplacementPolicy::kLru: return "lru";
         case ReplacementPolicy::kLruK: return "lru-k";
         case ReplacementPolicy::kClock: return "clock";
-        case ReplacementPolicy::kTwoQ: return "2q";
         case ReplacementPolicy::kLfu: return "lfu";
     }
     return "?";
@@ -24,7 +22,6 @@ std::optional<ReplacementPolicy> parse_policy(std::string_view text) {
         return ReplacementPolicy::kLruK;
     }
     if (text == "clock") return ReplacementPolicy::kClock;
-    if (text == "2q" || text == "twoq") return ReplacementPolicy::kTwoQ;
     if (text == "lfu") return ReplacementPolicy::kLfu;
     return std::nullopt;
 }
@@ -182,74 +179,6 @@ void ClockReplacer::on_evict(std::size_t frame, std::uint64_t /*page*/,
     referenced_[frame] = false;
 }
 
-// ----------------------------------------------------------------- 2Q --
-
-TwoQReplacer::TwoQReplacer(std::size_t capacity)
-    : a1_target_(std::max<std::size_t>(1, capacity / 4)),
-      ghost_limit_(std::max<std::size_t>(1, capacity)),
-      queue_(capacity, Queue::kNone),
-      stamp_(capacity, 0) {}
-
-void TwoQReplacer::on_insert(std::size_t frame, std::uint64_t page,
-                             Mutex& /*latch*/) {
-    auto ghost = ghost_.find(page);
-    if (ghost != ghost_.end()) {
-        // Reuse across a window wider than A1in: promote straight to Am.
-        ghost_.erase(ghost);  // stale fifo entry skipped during trimming
-        queue_[frame] = Queue::kAm;
-    } else {
-        queue_[frame] = Queue::kA1;
-        ++resident_a1_;
-    }
-    stamp_[frame] = ++clock_;
-}
-
-void TwoQReplacer::on_access(std::size_t frame, Mutex& /*latch*/) {
-    // Full 2Q: hits inside A1in do NOT promote — pages must prove reuse
-    // beyond the correlated-reference window. Am hits refresh LRU order.
-    if (queue_[frame] == Queue::kAm) stamp_[frame] = ++clock_;
-}
-
-std::size_t TwoQReplacer::victim(const EvictableView& view,
-                                 Mutex& /*latch*/) {
-    std::size_t a1_front = view.size();
-    std::size_t am_lru = view.size();
-    for (std::size_t i = 0; i < view.size(); ++i) {
-        if (!view[i]) continue;
-        if (queue_[i] == Queue::kA1) {
-            if (a1_front == view.size() || stamp_[i] < stamp_[a1_front]) {
-                a1_front = i;
-            }
-        } else if (queue_[i] == Queue::kAm) {
-            if (am_lru == view.size() || stamp_[i] < stamp_[am_lru]) {
-                am_lru = i;
-            }
-        }
-    }
-    if (a1_front != view.size() && resident_a1_ > a1_target_) {
-        return a1_front;
-    }
-    if (am_lru != view.size()) return am_lru;
-    return a1_front;
-}
-
-void TwoQReplacer::on_evict(std::size_t frame, std::uint64_t page,
-                            Mutex& /*latch*/) {
-    if (queue_[frame] == Queue::kA1) {
-        --resident_a1_;
-        // Leaving A1in: remember the page id so a near-future re-fetch is
-        // recognized as reuse and promoted to Am.
-        if (ghost_.insert(page).second) ghost_fifo_.push_back(page);
-        while (ghost_.size() > ghost_limit_ && !ghost_fifo_.empty()) {
-            const std::uint64_t old = ghost_fifo_.front();
-            ghost_fifo_.pop_front();
-            ghost_.erase(old);  // no-op for ids already promoted out
-        }
-    }
-    queue_[frame] = Queue::kNone;
-    stamp_[frame] = 0;
-}
-
 // ---------------------------------------------------------------- LFU --
 
 LfuReplacer::LfuReplacer(std::size_t capacity)
@@ -305,8 +234,6 @@ std::unique_ptr<Replacer> make_replacer(const BufferPoolConfig& config,
             return std::make_unique<LruKReplacer>(capacity, config.lru_k);
         case ReplacementPolicy::kClock:
             return std::make_unique<ClockReplacer>(capacity);
-        case ReplacementPolicy::kTwoQ:
-            return std::make_unique<TwoQReplacer>(capacity);
         case ReplacementPolicy::kLfu:
             return std::make_unique<LfuReplacer>(capacity);
     }

@@ -191,7 +191,7 @@ TEST(QueryEngine, AgreesWithDesServerOnWorkCounters) {
 }
 
 TEST(QueryEngine, StressTinyPoolManyThreadsMixedQueries) {
-    // The TSan anchor: 4 nodes x 4 workers + dispatcher + front end over a
+    // The TSan anchor: 4 nodes x 4 workers + a routing front end over a
     // pool of only 4 frames per node (the minimum: one pinned page per
     // team worker), with a full admission window of mixed range and
     // partial-match queries — maximum contention on the pool latch, the
@@ -276,7 +276,7 @@ TEST(QueryEngine, EmptyBatchAndMissQuery) {
     EXPECT_EQ(out.report.queries, 0u);
     EXPECT_DOUBLE_EQ(out.report.qps, 0.0);
     // A query missing the domain fans out to zero nodes yet must still
-    // complete (the dispatcher completes it directly).
+    // complete (submit() completes it directly).
     Rect<2> miss{{{5.0, 5.0}}, {{6.0, 6.0}}};
     auto out2 = engine.run({QueryEngine<2>::Query(miss)});
     EXPECT_EQ(out2.report.queries, 1u);

@@ -33,7 +33,7 @@ namespace {
 // Parameterized over every replacement policy: the concurrency contract
 // (pins gate eviction, no lost updates, exact hit+miss ledger) is policy-
 // independent, so the same stressors must pass for LRU, LRU-K, CLOCK and
-// 2Q alike.
+// LFU alike.
 class BufferPoolConcurrentTest
     : public ::testing::TestWithParam<ReplacementPolicy> {
 protected:
@@ -308,14 +308,12 @@ TEST_P(BufferPoolConcurrentTest, PrefetchRacesDemandFetches) {
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, BufferPoolConcurrentTest,
     ::testing::Values(ReplacementPolicy::kLru, ReplacementPolicy::kLruK,
-                      ReplacementPolicy::kClock, ReplacementPolicy::kTwoQ,
-                      ReplacementPolicy::kLfu),
+                      ReplacementPolicy::kClock, ReplacementPolicy::kLfu),
     [](const ::testing::TestParamInfo<ReplacementPolicy>& param_info) {
         switch (param_info.param) {
             case ReplacementPolicy::kLru: return "lru";
             case ReplacementPolicy::kLruK: return "lruk";
             case ReplacementPolicy::kClock: return "clock";
-            case ReplacementPolicy::kTwoQ: return "twoq";
             case ReplacementPolicy::kLfu: return "lfu";
         }
         return "unknown";

@@ -7,7 +7,7 @@
 // and all four counters compared after every operation. The policy
 // refactor is allowed to change nothing for existing callers.
 //
-// The LRU-K / CLOCK / 2Q tests script small access sequences against the
+// The LRU-K / CLOCK / LFU tests script small access sequences against the
 // Replacer interface directly and assert the victim choices the
 // literature prescribes; the prefetch tests drive BufferPool::prefetch
 // and check the first-eviction class, the no-self-cannibalization cap,
@@ -32,15 +32,14 @@ namespace {
 TEST(ReplacementPolicyTag, RoundTripsAndAliases) {
     for (ReplacementPolicy p :
          {ReplacementPolicy::kLru, ReplacementPolicy::kLruK,
-          ReplacementPolicy::kClock, ReplacementPolicy::kTwoQ,
-          ReplacementPolicy::kLfu}) {
+          ReplacementPolicy::kClock, ReplacementPolicy::kLfu}) {
         auto parsed = parse_policy(to_string(p));
         ASSERT_TRUE(parsed.has_value()) << to_string(p);
         EXPECT_EQ(*parsed, p);
     }
     EXPECT_EQ(parse_policy("lruk"), ReplacementPolicy::kLruK);
     EXPECT_EQ(parse_policy("lru2"), ReplacementPolicy::kLruK);
-    EXPECT_EQ(parse_policy("twoq"), ReplacementPolicy::kTwoQ);
+    EXPECT_FALSE(parse_policy("2q").has_value());  // removed policy
     EXPECT_FALSE(parse_policy("mru").has_value());
     EXPECT_FALSE(parse_policy("").has_value());
 }
@@ -185,15 +184,6 @@ public:
         MutexLock lock(latch_);
         policy_->on_evict(frame, page, latch_);
     }
-    /// Full eviction turn: ask for the victim, notify, reuse the frame
-    /// for `page`; returns the victim frame.
-    std::size_t replace_with(std::uint64_t page,
-                             std::uint64_t victim_page) {
-        const std::size_t v = victim();
-        evict(v, victim_page);
-        insert(v, page);
-        return v;
-    }
 
 private:
     Mutex latch_;
@@ -264,34 +254,6 @@ TEST(ClockReplacer, SecondChanceSweepClearsBitsThenEvicts) {
     t.insert(1, 21);
     std::vector<bool> only1{false, true};
     EXPECT_EQ(t.victim_among(only1), 1u);
-}
-
-TEST(TwoQReplacer, GhostPromotionAndScanResistance) {
-    // Capacity 4 -> A1in target 1, so repeated-touch pages promote via
-    // the ghost list while single-touch scan pages churn through A1in.
-    ReplacerScript s(make_replacer({ReplacementPolicy::kTwoQ}, 4), 4);
-    s.insert(0, 100);  // A1
-    s.insert(1, 101);  // A1
-    // A1 (2 frames) over target (1): FIFO front of A1 is frame 0.
-    EXPECT_EQ(s.victim(), 0u);
-    s.evict(0, 100);   // page 100 -> ghost
-    s.insert(0, 102);  // A1: {1:101, 0:102}
-    // Re-fetch of ghost page 100 enters Am directly (proven reuse).
-    EXPECT_EQ(s.victim(), 1u);
-    s.evict(1, 101);
-    s.insert(1, 100);  // Am: {1:100}
-    s.insert(2, 103);  // A1: {0:102, 2:103}
-    s.insert(3, 104);  // A1: {0:102, 2:103, 3:104}
-    // A1 over target: scan-style single-touch pages are the victims, in
-    // FIFO order, while the Am page survives untouched.
-    EXPECT_EQ(s.replace_with(105, 102), 0u);  // evict 102 (A1 front)
-    EXPECT_EQ(s.replace_with(106, 103), 2u);  // evict 103
-    // Am hits refresh LRU order but never move a page back to A1.
-    s.access(1);
-    EXPECT_EQ(s.replace_with(107, 104), 3u);  // still A1 churn, Am safe
-    // Only when A1 is within target does Am's LRU frame get evicted.
-    std::vector<bool> only_am{false, true, false, false};
-    EXPECT_EQ(s.victim_among(only_am), 1u);
 }
 
 TEST(LfuReplacer, FrequencyDecidesWithLruTieBreakAndResetOnEvict) {
