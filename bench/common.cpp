@@ -36,13 +36,6 @@ unsigned default_inner_threads() {
     return 1;  // inner scans stay serial unless asked for
 }
 
-std::string default_backend() {
-    if (const char* env = std::getenv("PGF_BACKEND")) {
-        if (*env != '\0') return env;
-    }
-    return "memory";
-}
-
 std::string default_policy() {
     if (const char* env = std::getenv("PGF_POLICY")) {
         if (*env != '\0') return env;
@@ -86,12 +79,6 @@ Options::Options(int argc, const char* const* argv) {
         "inner-threads", static_cast<std::int64_t>(default_inner_threads())));
     bench_json = cli.get_string("bench-json", "");
     build_cache = cli.get_bool("build-cache", default_build_cache());
-    backend = cli.get_string("backend", default_backend());
-    if (backend != "memory" && backend != "paged") {
-        std::cerr << "unknown --backend '" << backend
-                  << "' (expected memory|paged)\n";
-        std::exit(2);
-    }
     node_pool_pages =
         static_cast<std::size_t>(cli.get_int("node-pool-pages", 1024));
     policy = cli.get_string("policy", default_policy());

@@ -22,17 +22,8 @@
 //                       repeated identical build requests (default: on;
 //                       PGF_BUILD_CACHE=0 in the environment disables).
 //                       Output is byte-identical either way.
-//   --backend <b>       grid-file backend: memory (default) or paged.
-//                       Paged builds the workbench's dataset into a real
-//                       one-bucket-per-page disk file too; experiments
-//                       that support it (table45_sp2) then run the
-//                       parallel server disk-backed, with physical
-//                       reads / cache hits counted by per-node buffer
-//                       pools. (PGF_BACKEND in the environment sets the
-//                       default.) Response-block columns are identical
-//                       across backends by construction.
-//   --node-pool-pages <n>  buffer-pool frames per simulated node in the
-//                       disk-backed mode (default 1024)
+//   --node-pool-pages <n>  buffer-pool frames per node of the threaded
+//                       serving bench (ext_serving; default 1024)
 //   --policy <p>        node-pool replacement policy: lru (default), lru-k,
 //                       clock, or lfu (PGF_POLICY in the environment sets
 //                       the default). Non-default policies apply to the
@@ -75,15 +66,12 @@ struct Options {
     unsigned inner_threads = 1;  ///< intra-algorithm scans; 0 = hw concurrency
     std::string bench_json;
     bool build_cache = true;
-    std::string backend = "memory";  ///< "memory" or "paged"
-    std::size_t node_pool_pages = 1024;  ///< disk-backed per-node pool frames
+    std::size_t node_pool_pages = 1024;  ///< serving per-node pool frames
     std::string policy = "lru";  ///< node-pool replacement policy
     bool prefetch = false;       ///< declustering-aware read-ahead
     bool full_scale = false;
 
     Options(int argc, const char* const* argv);
-
-    bool paged() const { return backend == "paged"; }
 
     /// True when --policy/--prefetch (or their env vars) deviate from the
     /// historical behavior — the benches print an extra config line then,
@@ -255,17 +243,10 @@ template <std::size_t D, typename Maker>
 std::shared_ptr<const Workbench<D>> cached_workbench(
     const Options& opt, std::string distribution, std::size_t n, Rng& rng,
     Maker&& maker, std::uint64_t bucket_capacity = 0) {
-    // The paged workbench carries extra state (the backing file), so it
-    // never aliases a memory-backend cache entry.
-    const bool with_paged = opt.paged();
-    if (with_paged) distribution += "/backend=paged";
     BuildKey key{std::move(distribution), rng.state(), n,
                  static_cast<std::uint32_t>(D), bucket_capacity};
     return workbench_cache(opt).get_or_build<Workbench<D>>(
-        key, rng,
-        [&maker, with_paged](Rng& r) {
-            return Workbench<D>(maker(r), with_paged);
-        });
+        key, rng, [&maker](Rng& r) { return Workbench<D>(maker(r)); });
 }
 
 }  // namespace pgf::bench

@@ -160,10 +160,6 @@ bool write_caching_json(const Options& opt, const std::string& path,
 
 int run(int argc, char** argv) {
     Options opt(argc, argv);
-    // Hit rates are a property of the disk image; force the paged
-    // workbench regardless of --backend.
-    Options paged_opt = opt;
-    paged_opt.backend = "paged";
 
     print_banner(opt,
                  "Extension — replacement policies and prefetch vs hit rate",
@@ -171,12 +167,9 @@ int run(int argc, char** argv) {
                  "hit rate, physical reads/query and p50/p99 latency vs "
                  "policy x prefetch x pool-pages x workload");
     Rng rng(opt.seed);
-    auto wb = cached_workbench<2>(paged_opt, "hotspot.2d", 10000, rng,
-                                  [](Rng& r) {
-                                      return make_hotspot2d(r, 10000);
-                                  });
-    const Workbench<2>& bench = *wb;
-    PGF_CHECK(bench.paged != nullptr, "caching bench needs the paged build");
+    // Hit rates are a property of the disk image, so the workbench is
+    // always built paged.
+    const Workbench<2> bench(make_hotspot2d(rng, 10000), true);
     const PagedGridFile<2>& pgf2 = *bench.paged;
     std::cout << bench.summary() << "\n";
 

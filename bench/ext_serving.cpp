@@ -123,10 +123,6 @@ bool write_serving_json(const Options& opt, const std::string& path,
 
 int run(int argc, char** argv) {
     Options opt(argc, argv);
-    // The engine serves the *disk* image: force the paged workbench
-    // regardless of --backend (the in-memory file has no pages to read).
-    Options paged_opt = opt;
-    paged_opt.backend = "paged";
 
     constexpr std::uint32_t kNodes = 4;
     print_banner(opt, "Extension — threaded serving on the paged backend",
@@ -134,12 +130,9 @@ int run(int argc, char** argv) {
                      "-node QueryEngine; queries/sec and p50/p99 latency "
                      "vs workers-per-node x concurrency x declustering");
     Rng rng(opt.seed);
-    auto wb = cached_workbench<4>(paged_opt, "dsmc.4d/s=12/p=15000",
-                                  12 * 15000, rng, [](Rng& r) {
-                                      return make_dsmc4d(r, 12, 15000);
-                                  });
-    const Workbench<4>& bench = *wb;
-    PGF_CHECK(bench.paged != nullptr, "serving bench needs the paged build");
+    // The engine serves the *disk* image, so the workbench is always
+    // built paged (the in-memory file has no pages to read).
+    const Workbench<4> bench(make_dsmc4d(rng, 12, 15000), true);
     const PagedGridFile<4>& pgf4 = *bench.paged;
     std::cout << bench.summary() << "\n";
     if (opt.caching_tuned()) {

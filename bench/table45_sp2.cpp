@@ -12,12 +12,6 @@
 //
 // Default scale is reduced for a laptop run (16 snapshots x ~25k records);
 // --full or PGF_FULL_SCALE=1 selects the paper's 59 x ~51k (~3M records).
-//
-// --backend=paged additionally bulk-loads the dataset into a real
-// one-bucket-per-page disk file and runs every server disk-backed: block
-// reads go through per-node buffer pools and the cache-hits /
-// physical-reads columns report actual page I/O. The response-blocks
-// column is identical to --backend=memory by construction.
 #include <iostream>
 
 #include "common.hpp"
@@ -52,35 +46,11 @@ int run(int argc, char** argv) {
               << "x" << shape[2] << "x" << shape[3]
               << "  (paper: 3M records, 7x28x21x39 subspaces -> 19956 "
               << "buckets of 8 KB)\n";
-    if (opt.paged()) {
-        // Extra line only in paged mode so the memory-backend output stays
-        // byte-identical to earlier releases.
-        std::cout << "backend: paged (" << bench.paged->bucket_count()
-                  << " page buckets of "
-                  << bench.paged->config().page_size << " B, "
-                  << opt.node_pool_pages << " pool frames per node)\n";
-        if (opt.caching_tuned()) {
-            // Same byte-identity rule as the backend line: printed only
-            // when --policy/--prefetch deviate from the default.
-            std::cout << "caching: policy=" << opt.policy << " prefetch="
-                      << (opt.prefetch ? "on" : "off") << "\n";
-        }
-    }
 
-    // In paged mode the servers read real pages from the workbench's
-    // backing file through per-node buffer pools; response blocks are
-    // structural and therefore identical to the memory backend.
     auto execute = [&](const Assignment& a, std::uint32_t nodes,
                        const std::vector<Rect<4>>& queries) {
         ClusterConfig cfg;
         cfg.nodes = nodes;
-        if (opt.paged()) {
-            ParallelGridFileServer<4, PagedGridFile<4>> server(
-                *bench.paged, a, cfg,
-                DiskBackedConfig{opt.node_pool_pages, opt.pool_config(),
-                                 opt.prefetch});
-            return server.execute(queries);
-        }
         ParallelGridFileServer<4> server(bench.gf, a, cfg);
         return server.execute(queries);
     };

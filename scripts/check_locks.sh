@@ -126,6 +126,7 @@ require "${qe}" 'completed_ PGF_GUARDED_BY\(stats_mutex_\)' 'QueryEngine::comple
 require "${qe}" 'latencies_ms_ PGF_GUARDED_BY\(stats_mutex_\)' 'QueryEngine::latencies_ms_ guarded'
 require "${qe}" 'scratch_ PGF_GUARDED_BY\(routing_mutex_\)' 'QueryEngine::scratch_ guarded by routing_mutex_'
 require "${qe}" 'buckets_ PGF_GUARDED_BY\(routing_mutex_\)' 'QueryEngine::buckets_ guarded by routing_mutex_'
+require "${qe}" 'response_blocks_ PGF_GUARDED_BY\(stats_mutex_\)' 'QueryEngine::response_blocks_ guarded'
 
 if [ "${fail}" -ne 0 ]; then
     echo "check_locks.sh: FAILED — see findings above." >&2

@@ -7,7 +7,9 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
+#include "pgf/decluster/types.hpp"
 #include "pgf/parallel/disk_model.hpp"
 #include "pgf/parallel/network.hpp"
 
@@ -30,5 +32,16 @@ struct ClusterConfig {
     double query_translate_s = 200e-6;
     double per_request_s = 2e-6;
 };
+
+/// Splits a query's bucket list into per-node block lists — the
+/// coordinator's request building, shared by the DES server and
+/// QueryEngine. Disk d lives on node d / disks_per_node. A node's list is
+/// its disks' bins in disk order, each bin in bucket-list order, so every
+/// disk's blocks form one contiguous run of its node's list (the longest
+/// run is the Sec. 2.2 response metric max_i N_i). Throws CheckError if a
+/// bucket's disk lies outside the cluster.
+std::vector<std::vector<std::uint32_t>> partition_node_blocks(
+    const std::vector<std::uint32_t>& buckets, const Assignment& assignment,
+    std::uint32_t nodes, std::uint32_t disks_per_node);
 
 }  // namespace pgf

@@ -1,9 +1,9 @@
 // A worker node's private view of the shared page image: its own file
 // handle plus its own latched buffer pool. Shared-nothing nodes cache
-// independently, so every consumer of a paged grid file's disk image —
-// the DES server's disk-backed mode (pgf_server.hpp) and the real
-// concurrent QueryEngine (query_engine.hpp) — opens one NodeBacking per
-// cluster node over the same backing path.
+// independently, so a consumer of a paged grid file's disk image — the
+// concurrent QueryEngine (query_engine.hpp), or a benchmark replaying
+// its read path — opens one NodeBacking per cluster node over the same
+// backing path.
 //
 // The backing file must be flushed (PagedGridFile::flush) before any
 // NodeBacking opens it, so the node pools read current page images.

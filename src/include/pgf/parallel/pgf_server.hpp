@@ -8,16 +8,11 @@
 // queries are processed one at a time (the workloads in Tables 4-5 are
 // sequential query streams).
 //
-// The server is generic over the grid-file backend (GF). Two modes:
-//   - simulated-cache mode (any backend, the default): block residency is
-//     decided by each SimulatedDisk's internal LRU model;
-//   - disk-backed mode (paged backend, DiskBackedConfig): every worker
-//     block read goes through a real per-node BufferPool over the paged
-//     file's backing pages, and the pool's hit/miss counters replace the
-//     simulated block cache — physical_reads/cache_hits then report actual
-//     page I/O, validating the Sec. 2.2 response metric against real
-//     misses. Response blocks depend only on structure + assignment, so
-//     they are identical across modes by construction.
+// The server is generic over the grid-file backend (GF): block residency
+// is decided by each SimulatedDisk's LRU model, and records are scanned
+// through the backend's bucket_records(). Real page reads through per-node
+// buffer pools are QueryEngine's job (query_engine.hpp); both executors
+// partition block requests with partition_node_blocks (cluster.hpp).
 //
 // Reported quantities match the paper's three columns:
 //   - response blocks: sum over queries of max_i N_i(q) (Sec. 2.2 metric),
@@ -28,17 +23,13 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "pgf/decluster/types.hpp"
 #include "pgf/gridfile/grid_file.hpp"
 #include "pgf/parallel/cluster.hpp"
-#include "pgf/parallel/node_backing.hpp"
 #include "pgf/sim/des.hpp"
-#include "pgf/storage/buffer_pool.hpp"
-#include "pgf/storage/page_file.hpp"
 
 namespace pgf {
 
@@ -49,35 +40,8 @@ struct BatchResult {
     std::uint64_t records_returned = 0;
     std::uint64_t physical_reads = 0;
     std::uint64_t cache_hits = 0;
-    std::uint64_t prefetch_issued = 0;  ///< disk-backed: read-ahead pages
-    std::uint64_t prefetch_hits = 0;    ///< staged pages a worker then used
     double comm_time_s = 0.0;
     double elapsed_s = 0.0;
-};
-
-/// Enables the disk-backed mode: each node opens its own BufferPool of
-/// `pool_pages` frames over the paged file's backing PageFile. The file
-/// must be flushed (PagedGridFile::flush) before the server is built, so
-/// the node pools read current page images.
-struct DiskBackedConfig {
-    std::size_t pool_pages = 1024;
-    /// Replacement policy of every node pool (default: historical LRU).
-    BufferPoolConfig pool_config{};
-    /// Declustering-aware read-ahead: the coordinator stages each node's
-    /// bucket pages into that node's pool (in assignment order) before the
-    /// workers service the block list. Staged pages then count as cache
-    /// hits in the timing model — read-ahead overlaps the request
-    /// transfer — while the pages actually read appear in
-    /// BatchResult::prefetch_issued so physical I/O stays accounted.
-    bool prefetch = false;
-};
-
-/// Grid-file backends that expose a disk image the server can open
-/// directly: a backing file path plus a page id per bucket.
-template <typename GF>
-concept PagedBackend = requires(const GF& gf) {
-    { gf.path() } -> std::convertible_to<std::string>;
-    { gf.bucket_page(std::uint32_t{0}) } -> std::convertible_to<std::uint64_t>;
 };
 
 template <std::size_t D, typename GF = GridFile<D>>
@@ -96,32 +60,18 @@ public:
                   "assignment must target exactly the cluster's disks");
         PGF_CHECK(assignment_.disk_of.size() == gf_.bucket_count(),
                   "assignment must cover every bucket");
+        for (std::uint32_t d : assignment_.disk_of) {
+            PGF_CHECK(d < total_disks, "assignment disk outside the cluster");
+        }
         disks_.reserve(total_disks);
         for (std::uint32_t i = 0; i < total_disks; ++i) {
             disks_.emplace_back(config_.disk);
         }
     }
 
-    /// Disk-backed mode: worker reads go through real per-node buffer
-    /// pools over `gf`'s backing file. Call gf.flush() first so the pages
-    /// on disk are current.
-    ParallelGridFileServer(const GF& gf, Assignment assignment,
-                           ClusterConfig config, DiskBackedConfig disk_backed)
-        requires PagedBackend<GF>
-        : ParallelGridFileServer(gf, std::move(assignment), config) {
-        backing_path_ = gf.path();
-        backing_pool_pages_ = disk_backed.pool_pages;
-        backing_pool_config_ = disk_backed.pool_config;
-        backing_prefetch_ = disk_backed.prefetch;
-        PGF_CHECK(backing_pool_pages_ >= 1,
-                  "disk-backed mode needs at least one pool frame per node");
-        open_backing();
-    }
-
-    /// Runs the query batch on a fresh simulated clock (the block caches —
-    /// simulated LRU or real per-node pools — persist across queries
-    /// within the batch, and across batches unless drop_caches() is
-    /// called).
+    /// Runs the query batch on a fresh simulated clock (the simulated
+    /// block caches persist across queries within the batch, and across
+    /// batches unless drop_caches() is called).
     ///
     /// `concurrency` is the number of outstanding queries the coordinator
     /// keeps in flight (closed loop). The paper's workloads are sequential
@@ -148,54 +98,23 @@ public:
                 config_.query_translate_s +
                 config_.per_request_s * static_cast<double>(buckets.size());
 
-            // Partition block requests by owning disk; the response-time
-            // metric (max_i N_i) is per disk, exactly as in Sec. 2.2.
-            const std::uint32_t total_disks =
-                config_.nodes * config_.disks_per_node;
-            std::vector<std::vector<std::uint32_t>> per_disk(total_disks);
-            for (std::uint32_t b : buckets) {
-                per_disk[assignment_.disk_of[b]].push_back(b);
-            }
-            std::uint64_t worst = 0;
-            for (const auto& blocks : per_disk) {
-                worst = std::max<std::uint64_t>(worst, blocks.size());
-            }
-            result.response_blocks += worst;
+            // Per-node block lists; each disk's blocks are one contiguous
+            // run of its node's list. The response-time metric (max_i N_i)
+            // is the longest run, exactly as in Sec. 2.2.
+            const std::vector<std::vector<std::uint32_t>> node_blocks =
+                partition_node_blocks(buckets, assignment_, config_.nodes,
+                                      config_.disks_per_node);
             result.total_blocks += buckets.size();
 
+            std::uint64_t worst = 0;
             auto outstanding = std::make_shared<std::uint32_t>(0);
             for (std::uint32_t node = 0; node < config_.nodes; ++node) {
-                std::size_t node_blocks = 0;
-                for (std::uint32_t k = 0; k < config_.disks_per_node; ++k) {
-                    node_blocks +=
-                        per_disk[node * config_.disks_per_node + k].size();
-                }
-                if (node_blocks == 0) continue;
-                if constexpr (PagedBackend<GF>) {
-                    // Declustering-aware read-ahead: the coordinator knows
-                    // node's exact block list, so stage those pages (in
-                    // the same disk-order the workers will scan) before
-                    // the request even "arrives" — the pool then serves
-                    // them as hits and the timing model overlaps the
-                    // read-ahead with the request transfer.
-                    if (!backing_.empty() && backing_prefetch_) {
-                        prefetch_scratch_.clear();
-                        for (std::uint32_t k = 0; k < config_.disks_per_node;
-                             ++k) {
-                            for (std::uint32_t b :
-                                 per_disk[node * config_.disks_per_node +
-                                          k]) {
-                                prefetch_scratch_.push_back(
-                                    gf_.bucket_page(b));
-                            }
-                        }
-                        backing_[node]->pool.prefetch(prefetch_scratch_);
-                    }
-                }
+                const std::vector<std::uint32_t>& blocks = node_blocks[node];
+                if (blocks.empty()) continue;
                 ++*outstanding;
                 const bool remote = node != 0;
                 double request_time = net.transfer_time(
-                    config_.request_bytes * node_blocks, remote);
+                    config_.request_bytes * blocks.size(), remote);
                 result.comm_time_s += request_time;
                 // Worker service: the node's disks run in parallel, each
                 // serializing its own block reads behind whatever earlier
@@ -205,14 +124,17 @@ public:
                     des.now() + translate + request_time;
                 sim::SimTime node_done = arrival;
                 std::uint64_t matched = 0;
-                for (std::uint32_t k = 0; k < config_.disks_per_node; ++k) {
-                    std::uint32_t disk = node * config_.disks_per_node + k;
-                    if (per_disk[disk].empty()) continue;
+                for (std::size_t i = 0; i < blocks.size();) {
+                    const std::uint32_t disk = assignment_.disk_of[blocks[i]];
                     sim::SimTime disk_done =
                         std::max(arrival, disk_busy_until[disk]);
-                    for (std::uint32_t b : per_disk[disk]) {
-                        disk_done += service_block(q, node, disk, b, matched);
+                    const std::size_t run_start = i;
+                    for (; i < blocks.size() &&
+                           assignment_.disk_of[blocks[i]] == disk;
+                         ++i) {
+                        disk_done += service_block(q, disk, blocks[i], matched);
                     }
+                    worst = std::max<std::uint64_t>(worst, i - run_start);
                     disk_busy_until[disk] = disk_done;
                     node_done = std::max(node_done, disk_done);
                 }
@@ -226,6 +148,7 @@ public:
                                     if (--*outstanding == 0) start_query();
                                 });
             }
+            result.response_blocks += worst;
             if (*outstanding == 0) {
                 // Query touched nothing: move on immediately.
                 des.schedule_in(translate, [&]() { start_query(); });
@@ -235,75 +158,27 @@ public:
         for (std::uint32_t k = 0; k < concurrency; ++k) start_query();
         des.run();
         result.elapsed_s = des.now();
-        if (!backing_.empty()) {
-            // Disk-backed: I/O counters come from the real pools
-            // (snapshot-and-zero; page contents stay resident).
-            for (auto& nb : backing_) {
-                BufferPool::Stats stats = nb->pool.reset();
-                // Read-ahead pages are real page I/O too: physical_reads
-                // stays an honest count of file reads either way.
-                result.physical_reads += stats.misses + stats.prefetch_issued;
-                result.cache_hits += stats.hits;
-                result.prefetch_issued += stats.prefetch_issued;
-                result.prefetch_hits += stats.prefetch_hits;
-            }
-            for (auto& d : disks_) d.reset_counters();
-        } else {
-            for (const auto& d : disks_) {
-                result.physical_reads += d.physical_reads();
-                result.cache_hits += d.cache_hits();
-            }
-            for (auto& d : disks_) d.reset_counters();
+        for (auto& d : disks_) {
+            result.physical_reads += d.physical_reads();
+            result.cache_hits += d.cache_hits();
+            d.reset_counters();
         }
         return result;
     }
 
-    /// Clears every node's block cache (for cold-start measurements). In
-    /// disk-backed mode the per-node pools are reopened empty.
+    /// Clears every node's block cache (for cold-start measurements).
     void drop_caches() {
         for (auto& d : disks_) d.drop_cache();
-        if (!backing_.empty()) open_backing();
     }
-
-    /// True when worker reads go through real per-node buffer pools.
-    bool disk_backed() const { return !backing_.empty(); }
 
     const ClusterConfig& config() const { return config_; }
 
 private:
-    void open_backing() {
-        backing_.clear();
-        backing_.reserve(config_.nodes);
-        for (std::uint32_t n = 0; n < config_.nodes; ++n) {
-            backing_.push_back(std::make_unique<NodeBacking>(
-                backing_path_, backing_pool_pages_, backing_pool_config_));
-        }
-    }
-
-    /// Reads bucket `b`'s block on `disk` and filters its records against
-    /// `q` (adding to `matched`); returns the block's service time. In
-    /// disk-backed mode the node's pool fetches the real page, its
-    /// hit/miss verdict feeds the timing model, and the records are
-    /// decoded from the fetched page image — the worker touches only
-    /// bytes that came through its own pool. Otherwise the simulated LRU
-    /// decides residency and the backend's records are scanned directly.
-    sim::SimTime service_block(const Rect<D>& q, std::uint32_t node,
-                               std::uint32_t disk, std::uint32_t b,
-                               std::uint64_t& matched) {
-        if constexpr (PagedBackend<GF>) {
-            if (!backing_.empty()) {
-                NodeBacking& nb = *backing_[node];
-                const std::uint64_t page = gf_.bucket_page(b);
-                const std::uint64_t misses_before = nb.pool.misses();
-                auto ref = nb.pool.fetch(page);
-                const bool hit = nb.pool.misses() == misses_before;
-                GF::StoreType::decode_page(ref.data(), page_scratch_);
-                for (const auto& rec : page_scratch_) {
-                    if (q.contains(rec.point)) ++matched;
-                }
-                return disks_[disk].read_with(page, hit);
-            }
-        }
+    /// Reads bucket `b`'s block on `disk` (the simulated LRU decides
+    /// residency) and filters its records against `q`, adding to
+    /// `matched`; returns the block's service time.
+    sim::SimTime service_block(const Rect<D>& q, std::uint32_t disk,
+                               std::uint32_t b, std::uint64_t& matched) {
         for (const auto& rec : gf_.bucket_records(b)) {
             if (q.contains(rec.point)) ++matched;
         }
@@ -314,13 +189,6 @@ private:
     Assignment assignment_;
     ClusterConfig config_;
     std::vector<SimulatedDisk> disks_;
-    std::string backing_path_;
-    std::size_t backing_pool_pages_ = 0;
-    BufferPoolConfig backing_pool_config_{};
-    bool backing_prefetch_ = false;
-    std::vector<std::unique_ptr<NodeBacking>> backing_;
-    std::vector<GridRecord<D>> page_scratch_;
-    std::vector<std::uint64_t> prefetch_scratch_;
 };
 
 }  // namespace pgf

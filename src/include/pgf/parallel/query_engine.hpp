@@ -21,8 +21,9 @@
 // results concatenated in node order, each partial filtered in block-list
 // order — a function of (structure, assignment, query) only, never of
 // thread interleaving. The per-query record multisets equal the serial
-// PagedGridFile query path, and the per-node block lists equal the DES
-// server's (both asserted by tests/parallel/test_query_engine.cpp).
+// PagedGridFile query path (asserted by tests/parallel/test_query_engine.cpp),
+// and the per-node block lists are the DES server's by construction: both
+// build them with partition_node_blocks (cluster.hpp).
 //
 // Concurrency invariants:
 //   - the grid file is read-only while the engine lives: submit() walks
@@ -31,7 +32,7 @@
 //   - submit() may be called from several threads: the routing scratch
 //     (bucket stamps and bucket list) is shared behind routing_mutex_;
 //   - construction requires gf.flush() first so node pools see current
-//     page images (checked shape as DiskBackedConfig);
+//     page images;
 //   - each worker pins at most one page at a time, so a node pool with
 //     pool_pages >= workers_per_node can never throw "pool exhausted"
 //     (checked in the constructor);
@@ -47,6 +48,7 @@
 // queue and stat annotations stay present.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -57,6 +59,7 @@
 
 #include "pgf/decluster/types.hpp"
 #include "pgf/gridfile/partial_match.hpp"
+#include "pgf/parallel/cluster.hpp"
 #include "pgf/parallel/node_backing.hpp"
 #include "pgf/storage/paged_grid_file.hpp"
 #include "pgf/util/annotations.hpp"
@@ -92,6 +95,10 @@ struct ServingConfig {
 struct ServingReport {
     std::size_t queries = 0;
     std::uint64_t total_blocks = 0;      ///< buckets fetched across queries
+    /// Sum over queries of max_i N_i(q), the longest disk run in the
+    /// query's node lists — the paper's response time in blocks (Sec. 2.2),
+    /// next to the wall-clock latencies below.
+    std::uint64_t response_blocks = 0;
     std::uint64_t records_returned = 0;
     double wall_s = 0.0;
     double qps = 0.0;                    ///< queries / wall_s
@@ -109,15 +116,6 @@ struct ServingReport {
 /// latencies (exact order-statistic quantiles); leaves node_pools alone.
 void summarize_serving(std::vector<double> latencies_ms, double wall_s,
                        ServingReport& report);
-
-/// Splits a query's bucket list into per-node block lists, exactly as the
-/// DES server partitions block requests: buckets are binned per *disk* in
-/// list order, and a node's blocks are its disks' bins concatenated in
-/// disk order. QueryEngine executes these lists; the DES cross-check test
-/// asserts the equality.
-std::vector<std::vector<std::uint32_t>> partition_node_blocks(
-    const std::vector<std::uint32_t>& buckets, const Assignment& assignment,
-    std::uint32_t nodes, std::uint32_t disks_per_node);
 
 template <std::size_t D>
 class QueryEngine {
@@ -274,6 +272,7 @@ public:
             out.latencies_ms = latencies_ms_;
             out.report.queries = completed_;
             out.report.total_blocks = total_blocks_;
+            out.report.response_blocks = response_blocks_;
             out.report.records_returned = records_returned_;
         }
         summarize_serving(out.latencies_ms, wall_s, out.report);
@@ -310,6 +309,7 @@ private:
         Query query;
         Clock::time_point admit{};
         std::size_t blocks = 0;
+        std::size_t response_blocks = 0;  ///< longest disk run
         std::vector<std::vector<std::uint32_t>> node_blocks;
         std::vector<Records> node_results;
         std::atomic<std::uint32_t> outstanding{0};
@@ -334,7 +334,17 @@ private:
         qs->node_results.resize(config_.nodes);
         std::vector<std::uint32_t> targets;
         for (std::uint32_t n = 0; n < config_.nodes; ++n) {
-            if (!qs->node_blocks[n].empty()) targets.push_back(n);
+            const std::vector<std::uint32_t>& blocks = qs->node_blocks[n];
+            if (blocks.empty()) continue;
+            targets.push_back(n);
+            // Each disk's blocks are one contiguous run of the list.
+            for (std::size_t i = 0, run = 0; i < blocks.size(); ++i) {
+                const bool same_disk =
+                    i > 0 && assignment_.disk_of[blocks[i]] ==
+                                 assignment_.disk_of[blocks[i - 1]];
+                run = same_disk ? run + 1 : 1;
+                qs->response_blocks = std::max(qs->response_blocks, run);
+            }
         }
         if (targets.empty()) {
             complete(qs);  // query missed the domain entirely
@@ -399,6 +409,7 @@ private:
             MutexLock lock(stats_mutex_);
             latencies_ms_[qs->ticket] = ms;
             total_blocks_ += qs->blocks;
+            response_blocks_ += qs->response_blocks;
             records_returned_ += matched;
             ++completed_;
         }
@@ -434,6 +445,7 @@ private:
         submitted_ = 0;
         completed_ = 0;
         total_blocks_ = 0;
+        response_blocks_ = 0;
         records_returned_ = 0;
     }
 
@@ -459,6 +471,7 @@ private:
     std::size_t submitted_ PGF_GUARDED_BY(stats_mutex_) = 0;
     std::size_t completed_ PGF_GUARDED_BY(stats_mutex_) = 0;
     std::uint64_t total_blocks_ PGF_GUARDED_BY(stats_mutex_) = 0;
+    std::uint64_t response_blocks_ PGF_GUARDED_BY(stats_mutex_) = 0;
     std::uint64_t records_returned_ PGF_GUARDED_BY(stats_mutex_) = 0;
 };
 

@@ -222,7 +222,7 @@ public:
 
     /// Snapshot-and-zero: returns the counters accumulated since the last
     /// reset and clears them, so callers measuring per-phase deltas (e.g.
-    /// the disk-backed server's per-batch I/O) need no external
+    /// QueryEngine's per-batch node-pool I/O) need no external
     /// bookkeeping. Page contents and recency are untouched. Each counter
     /// is exchanged atomically; take the snapshot at a phase boundary (no
     /// in-flight operations) when the four values must be mutually

@@ -282,7 +282,7 @@ public:
     // -- paged-only surface --------------------------------------------------
 
     /// Page id backing bucket `b` (for partitioned-storage experiments and
-    /// the disk-backed parallel server).
+    /// QueryEngine's node pools).
     std::uint64_t page(std::uint32_t b) const { return metas_[b].page; }
 
     const BufferPool& pool() const { return pool_; }
@@ -334,8 +334,8 @@ public:
     }
 
     /// Decodes a raw page payload (count header + records) into `out`.
-    /// Usable on any copy of a bucket page — the disk-backed server reads
-    /// pages through its own per-node pools and decodes with this.
+    /// Usable on any copy of a bucket page — QueryEngine reads pages
+    /// through its own per-node pools and decodes with this.
     static void decode_page(std::span<const std::byte> data, Records& out) {
         const std::byte* p = data.data();
         const std::uint64_t count = read_u64(p);

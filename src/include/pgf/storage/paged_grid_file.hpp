@@ -97,7 +97,7 @@ public:
     std::size_t capacity() const { return this->bucket_capacity_; }
 
     /// Page id backing bucket `b` (for partitioned-storage experiments and
-    /// the disk-backed parallel server).
+    /// QueryEngine's node pools).
     std::uint64_t bucket_page(BucketId b) const {
         return this->store_.page(b);
     }
@@ -109,7 +109,7 @@ public:
     const std::string& path() const { return this->store_.path(); }
 
     /// Writes back every dirty page and syncs the file. Call before other
-    /// readers (e.g. the disk-backed server's per-node pools) open the
+    /// readers (e.g. QueryEngine's per-node pools) open the
     /// backing file.
     void flush() { this->store_.flush(); }
 

@@ -22,14 +22,6 @@ sim::SimTime SimulatedDisk::read(std::uint64_t block) {
     return t;
 }
 
-sim::SimTime SimulatedDisk::read_with(std::uint64_t block, bool cached) {
-    if (cached) {
-        ++cache_hits_;
-        return params_.cache_hit_s;
-    }
-    return miss_service(block);
-}
-
 sim::SimTime SimulatedDisk::miss_service(std::uint64_t block) {
     ++physical_reads_;
     double transfer = static_cast<double>(params_.block_bytes) /

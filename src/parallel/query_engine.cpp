@@ -1,5 +1,5 @@
-// Non-template pieces of the concurrent serving path: the DES-equivalent
-// block partitioning and the latency aggregation of a served batch.
+// Non-template piece of the concurrent serving path: the latency
+// aggregation of a served batch.
 #include "pgf/parallel/query_engine.hpp"
 
 #include <algorithm>
@@ -7,36 +7,6 @@
 #include "pgf/util/stats.hpp"
 
 namespace pgf {
-
-std::vector<std::vector<std::uint32_t>> partition_node_blocks(
-    const std::vector<std::uint32_t>& buckets, const Assignment& assignment,
-    std::uint32_t nodes, std::uint32_t disks_per_node) {
-    const std::uint32_t total_disks = nodes * disks_per_node;
-    // Bin per disk first, exactly like the DES server's request builder,
-    // so a node's list is its disks' bins concatenated in disk order —
-    // not simply the query's bucket order filtered per node (the two
-    // differ whenever a node owns several disks).
-    std::vector<std::vector<std::uint32_t>> per_disk(total_disks);
-    for (std::uint32_t b : buckets) {
-        const std::uint32_t disk = assignment.disk_of[b];
-        PGF_CHECK(disk < total_disks,
-                  "assignment references a disk outside the cluster");
-        per_disk[disk].push_back(b);
-    }
-    std::vector<std::vector<std::uint32_t>> per_node(nodes);
-    for (std::uint32_t n = 0; n < nodes; ++n) {
-        std::size_t count = 0;
-        for (std::uint32_t k = 0; k < disks_per_node; ++k) {
-            count += per_disk[n * disks_per_node + k].size();
-        }
-        per_node[n].reserve(count);
-        for (std::uint32_t k = 0; k < disks_per_node; ++k) {
-            const auto& bin = per_disk[n * disks_per_node + k];
-            per_node[n].insert(per_node[n].end(), bin.begin(), bin.end());
-        }
-    }
-    return per_node;
-}
 
 void summarize_serving(std::vector<double> latencies_ms, double wall_s,
                        ServingReport& report) {

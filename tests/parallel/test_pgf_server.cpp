@@ -158,6 +158,16 @@ TEST(PgfServer, RejectsMismatchedAssignment) {
                  CheckError);
 }
 
+TEST(PgfServer, RejectsAssignmentDiskOutsideCluster) {
+    // Right width and length, but one bucket names disk 4 on a 4-disk
+    // cluster: rejected at construction, before execute() could index a
+    // disk that does not exist.
+    Fixture f;
+    Assignment a = f.assignment(4);
+    a.disk_of.back() = 4;
+    EXPECT_THROW(ParallelGridFileServer<2>(f.gf, a, f.config(4)), CheckError);
+}
+
 TEST(PgfServer, DeterministicAcrossRuns) {
     Fixture f;
     Assignment a = f.assignment(4);
@@ -246,10 +256,10 @@ TEST(PgfServer, ZeroConcurrencyRejected) {
     EXPECT_THROW(server.execute({}, 0), CheckError);
 }
 
-/// The in-memory fixture plus a disk-backed twin loaded with the same
-/// insertion sequence — identical structure by the backend-equivalence
-/// contract, so the two servers must report the same structural columns.
-struct DiskBackedFixture : Fixture {
+/// The in-memory fixture plus a paged twin loaded with the same insertion
+/// sequence — identical structure by the backend-equivalence contract, so
+/// servers over either backend must report the same columns.
+struct PagedTwinFixture : Fixture {
     std::filesystem::path path =
         test::unique_temp_path("pgf_server_backing");
     PagedGridFile<2> pf;
@@ -260,7 +270,7 @@ struct DiskBackedFixture : Fixture {
         return cfg;
     }
 
-    explicit DiskBackedFixture(std::size_t n_points = 2000)
+    explicit PagedTwinFixture(std::size_t n_points = 2000)
         : Fixture(n_points), pf(path.string(), domain, small_pages()) {
         Rng rng(3);  // replay the Fixture's exact insertion sequence
         for (std::uint64_t i = 0; i < n_points; ++i) {
@@ -269,11 +279,11 @@ struct DiskBackedFixture : Fixture {
         pf.flush();
     }
 
-    ~DiskBackedFixture() { std::filesystem::remove(path); }
+    ~PagedTwinFixture() { std::filesystem::remove(path); }
 };
 
-TEST(PgfServer, DiskBackedMatchesInMemoryTwin) {
-    DiskBackedFixture f;
+TEST(PgfServer, PagedTwinMatchesInMemory) {
+    PagedTwinFixture f;
     ASSERT_EQ(f.pf.bucket_count(), f.gf.bucket_count());
     Assignment a = f.assignment(4);
     Rng rng(47);
@@ -282,70 +292,18 @@ TEST(PgfServer, DiskBackedMatchesInMemoryTwin) {
     ParallelGridFileServer<2> mem(f.gf, a, f.config(4));
     BatchResult rm = mem.execute(queries);
 
-    ParallelGridFileServer<2, PagedGridFile<2>> disk(
-        f.pf, a, f.config(4), DiskBackedConfig{256});
-    EXPECT_TRUE(disk.disk_backed());
-    BatchResult rd = disk.execute(queries);
+    ParallelGridFileServer<2, PagedGridFile<2>> paged(f.pf, a, f.config(4));
+    BatchResult rp = paged.execute(queries);
 
     // Structural columns are backend-independent by construction.
-    EXPECT_EQ(rd.queries, rm.queries);
-    EXPECT_EQ(rd.response_blocks, rm.response_blocks);
-    EXPECT_EQ(rd.total_blocks, rm.total_blocks);
-    EXPECT_EQ(rd.records_returned, rm.records_returned);
+    EXPECT_EQ(rp.queries, rm.queries);
+    EXPECT_EQ(rp.response_blocks, rm.response_blocks);
+    EXPECT_EQ(rp.total_blocks, rm.total_blocks);
+    EXPECT_EQ(rp.records_returned, rm.records_returned);
 
-    // I/O counters now come from the real pools: every block request was
-    // one pool fetch, so hits + misses account for every read exactly.
-    EXPECT_GT(rd.physical_reads, 0u);
-    EXPECT_EQ(rd.physical_reads + rd.cache_hits, rd.total_blocks);
-}
-
-TEST(PgfServer, DiskBackedPoolsWarmAcrossBatchesAndDrop) {
-    DiskBackedFixture f;
-    Assignment a = f.assignment(2);
-    Rng rng(53);
-    auto queries = square_queries(f.domain, 0.08, 30, rng);
-    // Pools big enough that the working set stays resident.
-    ParallelGridFileServer<2, PagedGridFile<2>> server(
-        f.pf, a, f.config(2), DiskBackedConfig{4096});
-    BatchResult cold = server.execute(queries);
-    EXPECT_GT(cold.physical_reads, 0u);
-    BatchResult warm = server.execute(queries);
-    EXPECT_EQ(warm.physical_reads, 0u);
-    EXPECT_EQ(warm.cache_hits, warm.total_blocks);
-    // drop_caches reopens the per-node pools empty.
-    server.drop_caches();
-    BatchResult cold2 = server.execute(queries);
-    EXPECT_EQ(cold2.physical_reads, cold.physical_reads);
-}
-
-TEST(PgfServer, DiskBackedTinyPoolThrashes) {
-    DiskBackedFixture f;
-    Assignment a = f.assignment(2);
-    Rng rng(59);
-    auto queries = square_queries(f.domain, 0.08, 30, rng);
-    ParallelGridFileServer<2, PagedGridFile<2>> big(
-        f.pf, a, f.config(2), DiskBackedConfig{4096});
-    (void)big.execute(queries);
-    BatchResult warm = big.execute(queries);
-    ParallelGridFileServer<2, PagedGridFile<2>> tiny(
-        f.pf, a, f.config(2), DiskBackedConfig{2});
-    (void)tiny.execute(queries);
-    BatchResult thrashed = tiny.execute(queries);
-    // Two frames per node cannot hold the working set: the warm batch
-    // still pays physical reads, unlike the big pool.
-    EXPECT_EQ(warm.physical_reads, 0u);
-    EXPECT_GT(thrashed.physical_reads, 0u);
-    // Structure-derived columns stay identical regardless of pool size.
-    EXPECT_EQ(thrashed.response_blocks, warm.response_blocks);
-    EXPECT_EQ(thrashed.records_returned, warm.records_returned);
-}
-
-TEST(PgfServer, DiskBackedRejectsZeroPoolPages) {
-    DiskBackedFixture f(500);
-    Assignment a = f.assignment(2);
-    EXPECT_THROW((ParallelGridFileServer<2, PagedGridFile<2>>(
-                     f.pf, a, f.config(2), DiskBackedConfig{0})),
-                 CheckError);
+    // Every block request is one simulated disk read, a hit or a miss.
+    EXPECT_GT(rp.physical_reads, 0u);
+    EXPECT_EQ(rp.physical_reads + rp.cache_hits, rp.total_blocks);
 }
 
 TEST(PgfServer, MultiDiskAssignmentWidthValidated) {

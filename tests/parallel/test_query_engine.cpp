@@ -34,7 +34,7 @@ void expect_same_records(const Records& got, const Records& want) {
     }
 }
 
-/// A disk-backed grid file the engine serves, flushed and ready.
+/// A paged grid file the engine serves, flushed and ready.
 struct Fixture {
     Rect<2> domain{{{0.0, 0.0}}, {{1.0, 1.0}}};
     std::filesystem::path path = test::unique_temp_path("query_engine");
@@ -169,25 +169,43 @@ TEST(QueryEngine, MatchesSerialPathAndIsDeterministicAcrossThreadCounts) {
 
 TEST(QueryEngine, AgreesWithDesServerOnWorkCounters) {
     // The threaded engine and the DES simulation partition identically, so
-    // their structural counters must agree exactly.
+    // their structural counters — the paper's response blocks included —
+    // must agree exactly. With two disks per node a node's list is its
+    // disks' bins, not the query's bucket order filtered per node.
     Fixture f;
     Assignment a = f.assignment(4);
     Rng rng(19);
     auto rects = square_queries(f.domain, 0.05, 25, rng);
-
-    ClusterConfig cc;
-    cc.nodes = 4;
-    ParallelGridFileServer<2, PagedGridFile<2>> server(f.pf, a, cc,
-                                                       DiskBackedConfig{256});
-    BatchResult des = server.execute(rects);
-
-    QueryEngine<2> engine(f.pf, a, f.config(2));
     std::vector<QueryEngine<2>::Query> queries(rects.begin(), rects.end());
-    auto out = engine.run(queries);
+    // Independent oracle for the response metric (disksim's per-disk count).
+    std::uint64_t oracle = 0;
+    QueryScratch scratch;
+    std::vector<std::uint32_t> buckets;
+    for (const Rect<2>& q : rects) {
+        f.pf.query_buckets(q, scratch, buckets);
+        oracle += response_time(buckets, a);
+    }
 
-    EXPECT_EQ(out.report.queries, des.queries);
-    EXPECT_EQ(out.report.total_blocks, des.total_blocks);
-    EXPECT_EQ(out.report.records_returned, des.records_returned);
+    for (std::uint32_t disks_per_node : {1u, 2u}) {
+        SCOPED_TRACE(disks_per_node);
+        ClusterConfig cc;
+        cc.nodes = 4 / disks_per_node;
+        cc.disks_per_node = disks_per_node;
+        ParallelGridFileServer<2, PagedGridFile<2>> server(f.pf, a, cc);
+        BatchResult des = server.execute(rects);
+
+        ServingConfig sc = f.config(2);
+        sc.nodes = cc.nodes;
+        sc.disks_per_node = disks_per_node;
+        QueryEngine<2> engine(f.pf, a, sc);
+        auto out = engine.run(queries);
+
+        EXPECT_EQ(out.report.queries, des.queries);
+        EXPECT_EQ(out.report.total_blocks, des.total_blocks);
+        EXPECT_EQ(des.response_blocks, oracle);
+        EXPECT_EQ(out.report.response_blocks, des.response_blocks);
+        EXPECT_EQ(out.report.records_returned, des.records_returned);
+    }
 }
 
 TEST(QueryEngine, StressTinyPoolManyThreadsMixedQueries) {
